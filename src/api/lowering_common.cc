@@ -8,10 +8,8 @@
 #include "api/physical_plan.h"
 #include "engine/filter.h"
 #include "engine/limit.h"
-#include "engine/materialize.h"
 #include "engine/prob_sort.h"
 #include "engine/project.h"
-#include "engine/scan.h"
 #include "engine/sort.h"
 #include "engine/vector/adapters.h"
 #include "lineage/probability.h"
@@ -471,6 +469,25 @@ StatusOr<OperatorPtr> LowerPipelineStage(PhysicalNode& stage, OperatorPtr op,
   }
 }
 
+StatusOr<OperatorPtr> LowerRowStages(OperatorPtr op,
+                                     const std::vector<PhysicalNode*>& stages,
+                                     size_t first, size_t last,
+                                     LineageManager* manager,
+                                     const ChainSlots& slots,
+                                     const ProbEvalOptions& prob_base) {
+  for (size_t i = first; i < last; ++i) {
+    StatusOr<OperatorPtr> next =
+        LowerPipelineStage(*stages[i], std::move(op), manager, prob_base);
+    if (!next.ok()) return next.status();
+    op = std::move(*next);
+    if (NodeStats* slot = slots.stage(i); slot != nullptr)
+      op = Instrument(slot, std::move(op));
+    if (slots.exchange != nullptr && i + 1 == slots.region)
+      op = Instrument(slots.exchange, std::move(op));
+  }
+  return op;
+}
+
 bool IsRowLocalStage(const PhysicalNode& stage) {
   return stage.op == PhysOp::kFilter || stage.op == PhysOp::kProject;
 }
@@ -509,7 +526,7 @@ done:
 vec::BatchOperatorPtr LowerBatchStages(
     vec::BatchOperatorPtr op, const std::vector<PhysicalNode*>& stages,
     size_t count, LineageManager* manager, VectorStats* vstats,
-    ExecStats* stats, const ProbEvalOptions& prob_base) {
+    const ChainSlots& slots, const ProbEvalOptions& prob_base) {
   for (size_t i = 0; i < count; ++i) {
     PhysicalNode& stage = *stages[i];
     switch (stage.op) {
@@ -544,11 +561,10 @@ vec::BatchOperatorPtr LowerBatchStages(
       default:
         TPDB_CHECK(false) << "non-batch stage in pre-validated chain";
     }
-    if (stats != nullptr) {
-      NodeStats* node = stats->AddNode(stage.Label() + " (vec)");
-      stage.actual = node;
-      op = vec::InstrumentBatch(node, std::move(op));
-    }
+    if (NodeStats* slot = slots.stage(i); slot != nullptr)
+      op = vec::InstrumentBatch(slot, std::move(op));
+    if (slots.exchange != nullptr && i + 1 == slots.region)
+      op = vec::InstrumentBatch(slots.exchange, std::move(op));
   }
   return op;
 }
@@ -581,23 +597,6 @@ storage::ScanPredicate CollectColdScanPredicate(
   return predicate;
 }
 
-StatusOr<TPRelation> FinishRowStagesOverTable(
-    std::string name, Table table,
-    const std::vector<PhysicalNode*>& stages, size_t first,
-    LineageManager* manager, const ProbEvalOptions& prob_base) {
-  if (first == stages.size())
-    return TPRelation::FromTable(std::move(name), table, manager);
-  OperatorPtr op = std::make_unique<TableScan>(&table);
-  for (size_t i = first; i < stages.size(); ++i) {
-    StatusOr<OperatorPtr> next =
-        LowerPipelineStage(*stages[i], std::move(op), manager, prob_base);
-    if (!next.ok()) return next.status();
-    op = std::move(*next);
-  }
-  const Table out = Materialize(op.get());
-  return TPRelation::FromTable(std::move(name), out, manager);
-}
-
 ChainExec CollectExecChain(PhysicalNode* top) {
   std::vector<PhysicalNode*> top_down;
   PhysicalNode* exchange = nullptr;
@@ -623,6 +622,57 @@ ChainExec CollectExecChain(PhysicalNode* top) {
     ++chain.batch_prefix;
   }
   return chain;
+}
+
+ChainSlots RegisterChainSlots(const ChainExec& chain, size_t first,
+                              size_t last, size_t batch_end,
+                              ExecStats* stats) {
+  ChainSlots slots;
+  if (stats == nullptr) return slots;
+  slots.stages.assign(last, nullptr);
+  for (size_t i = first; i < last; ++i) {
+    PhysicalNode& stage = *chain.stages[i];
+    NodeStats* slot =
+        stats->AddNode(stage.Label() + (i < batch_end ? " (vec)" : ""));
+    stage.actual = slot;
+    slots.stages[i] = slot;
+    if (chain.exchange != nullptr && i + 1 == chain.parallel_prefix) {
+      slots.exchange = stats->AddNode(chain.exchange->Label() + " (serial)");
+      slots.region = chain.parallel_prefix;
+      chain.exchange->actual = slots.exchange;
+    }
+  }
+  return slots;
+}
+
+ChainSlots MorselStageStats::Claim() {
+  ChainSlots slots;
+  if (stats_ == nullptr) return slots;
+  std::vector<NodeStats>* instance = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    instance = &instances_.emplace_back(count_);
+  }
+  slots.stages.reserve(count_);
+  for (NodeStats& slot : *instance) slots.stages.push_back(&slot);
+  return slots;
+}
+
+void MorselStageStats::Report(const std::vector<PhysicalNode*>& stages,
+                              const std::string& suffix) {
+  if (stats_ == nullptr) return;
+  const std::string morsels =
+      " [summed over " + std::to_string(instances_.size()) + " morsels]";
+  for (size_t i = 0; i < count_; ++i) {
+    NodeStats* slot = stats_->AddNode(stages[i]->Label() + suffix + morsels);
+    slot->summed_worker_time = true;
+    for (const std::vector<NodeStats>& instance : instances_) {
+      slot->rows += instance[i].rows;
+      slot->open_calls += instance[i].open_calls;
+      slot->seconds += instance[i].seconds;
+    }
+    stages[i]->actual = slot;
+  }
 }
 
 }  // namespace tpdb

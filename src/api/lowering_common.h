@@ -7,6 +7,8 @@
 #ifndef TPDB_API_LOWERING_COMMON_H_
 #define TPDB_API_LOWERING_COMMON_H_
 
+#include <deque>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -108,6 +110,74 @@ vec::BatchAggFn MapAggFn(AggFn fn);
 // them. The executors collect the maximal chain above a source and hand it
 // to these helpers.
 
+/// One pipelined chain as the executors see it: bottom-up stages, the
+/// exchange marker (when the mode pass inserted one) with the number of
+/// stages it covers, the leading batch-mode stage count, and the source.
+struct ChainExec {
+  std::vector<PhysicalNode*> stages;  ///< bottom-up
+  PhysicalNode* exchange = nullptr;
+  size_t parallel_prefix = 0;  ///< stages under the exchange
+  size_t batch_prefix = 0;     ///< leading stages with mode == kBatch
+  PhysicalNode* source = nullptr;
+};
+
+/// Collects the maximal pipelined chain rooted at `top` (inclusive).
+ChainExec CollectExecChain(PhysicalNode* top);
+
+/// Where one lowered instance of a chain reports its counters, index-
+/// aligned with ChainExec::stages: stage i is instrumented into
+/// `stages[i]` (null or out of range = not instrumented). `exchange`, when
+/// set, wraps the top of the exchange region — its first `region` stages —
+/// so an exchange whose region runs serially reports the rows leaving the
+/// region and the region's inclusive time. Empty slots lower the chain
+/// uninstrumented (the path every query without an ExecStats takes).
+struct ChainSlots {
+  std::vector<NodeStats*> stages;
+  NodeStats* exchange = nullptr;
+  size_t region = 0;
+
+  NodeStats* stage(size_t i) const {
+    return i < stages.size() ? stages[i] : nullptr;
+  }
+};
+
+/// Serial instrumentation: registers one `stats` slot per stage in
+/// [first, last) of `chain`, bottom-up, and links each to its physical
+/// node. Stages below `batch_end` run batch-at-a-time and are listed as
+/// "(vec)". When the exchange region's top stage lies in the range, the
+/// exchange gets a slot right above it, listed as "(serial)" — that range
+/// is being lowered as one serial instance. Empty slots without `stats`.
+ChainSlots RegisterChainSlots(const ChainExec& chain, size_t first,
+                              size_t last, size_t batch_end,
+                              ExecStats* stats);
+
+/// Counters of the first `count` stages of a chain that a parallel driver
+/// instantiates once per morsel. Every chain instance claims its own slots
+/// (Claim is thread-safe), so workers never share a NodeStats and never
+/// touch the ExecStats registry; Report then folds the instances into one
+/// registry slot per stage. Inert without a registry.
+class MorselStageStats {
+ public:
+  MorselStageStats(ExecStats* stats, size_t count)
+      : stats_(stats), count_(count) {}
+
+  /// Slots for one chain instance (empty without a registry).
+  ChainSlots Claim();
+
+  /// Registers one slot per stage of the region, listed with `suffix`:
+  /// rows, open calls and seconds summed over all claimed instances
+  /// (NodeStats::summed_worker_time), linked to the stage's physical node.
+  /// Call on the query thread once the driver has returned.
+  void Report(const std::vector<PhysicalNode*>& stages,
+              const std::string& suffix);
+
+ private:
+  ExecStats* stats_;
+  size_t count_;
+  std::mutex mu_;
+  std::deque<std::vector<NodeStats>> instances_;  ///< stable addresses
+};
+
 /// Lowers ONE pipelined physical stage onto `op`. Pure (no planner state),
 /// so the parallel driver can instantiate the same chain once per morsel.
 /// `prob_base` carries the planner's probability-evaluation knobs (circuit
@@ -118,6 +188,15 @@ StatusOr<OperatorPtr> LowerPipelineStage(PhysicalNode& stage,
                                          OperatorPtr op,
                                          LineageManager* manager,
                                          const ProbEvalOptions& prob_base = {});
+
+/// Lowers stages [first, last) on the row path over `op`, instrumenting
+/// each into `slots` (see ChainSlots).
+StatusOr<OperatorPtr> LowerRowStages(OperatorPtr op,
+                                     const std::vector<PhysicalNode*>& stages,
+                                     size_t first, size_t last,
+                                     LineageManager* manager,
+                                     const ChainSlots& slots,
+                                     const ProbEvalOptions& prob_base = {});
 
 /// True for stages that decide each row independently — the ones the
 /// parallel pipeline drivers may run per-morsel with an ordered merge.
@@ -133,13 +212,12 @@ size_t CountBatchStages(Schema schema,
                         bool row_local_only, Schema* out_schema = nullptr);
 
 /// Lowers exactly `count` leading stages — pre-validated by
-/// CountBatchStages — onto batch operators over `op`. With `stats`, each
-/// stage is instrumented as a "(vec)" node whose NodeStats slot is also
-/// recorded on the stage's physical node for the Explain tree.
+/// CountBatchStages — onto batch operators over `op`, instrumenting each
+/// into `slots` (see ChainSlots).
 vec::BatchOperatorPtr LowerBatchStages(
     vec::BatchOperatorPtr op, const std::vector<PhysicalNode*>& stages,
     size_t count, LineageManager* manager, VectorStats* vstats,
-    ExecStats* stats, const ProbEvalOptions& prob_base = {});
+    const ChainSlots& slots, const ProbEvalOptions& prob_base = {});
 
 /// The per-stage evaluation options: the planner's base knobs plus the
 /// stage's APPROX(eps, delta) contract, when it carries one.
@@ -154,28 +232,6 @@ ProbEvalOptions StageProbOptions(const PhysicalNode& stage,
 storage::ScanPredicate CollectColdScanPredicate(
     const std::vector<PhysicalNode*>& stages, LineageManager* manager,
     const storage::SegmentedTable* table);
-
-/// Runs the row-path stages [first, stages.size()) over `table` and
-/// converts the result back to a relation — the tail of a batch pipeline
-/// whose prefix was merged by the parallel driver.
-StatusOr<TPRelation> FinishRowStagesOverTable(
-    std::string name, Table table,
-    const std::vector<PhysicalNode*>& stages, size_t first,
-    LineageManager* manager, const ProbEvalOptions& prob_base = {});
-
-/// One pipelined chain as the executors see it: bottom-up stages, the
-/// exchange marker (when the mode pass inserted one) with the number of
-/// stages it covers, the leading batch-mode stage count, and the source.
-struct ChainExec {
-  std::vector<PhysicalNode*> stages;  ///< bottom-up
-  PhysicalNode* exchange = nullptr;
-  size_t parallel_prefix = 0;  ///< stages under the exchange
-  size_t batch_prefix = 0;     ///< leading stages with mode == kBatch
-  PhysicalNode* source = nullptr;
-};
-
-/// Collects the maximal pipelined chain rooted at `top` (inclusive).
-ChainExec CollectExecChain(PhysicalNode* top);
 
 }  // namespace tpdb
 

@@ -137,7 +137,14 @@ std::string PhysicalNode::ToString(int indent) const {
                   est.cost);
   }
   out += buf;
-  if (actual != nullptr) {
+  if (actual != nullptr && actual->summed_worker_time) {
+    std::snprintf(buf, sizeof(buf),
+                  "  (actual %llu rows, %.3f ms summed over %llu morsels)",
+                  static_cast<unsigned long long>(actual->rows),
+                  actual->seconds * 1000.0,
+                  static_cast<unsigned long long>(actual->open_calls));
+    out += buf;
+  } else if (actual != nullptr) {
     std::snprintf(buf, sizeof(buf), "  (actual %llu rows, %.3f ms)",
                   static_cast<unsigned long long>(actual->rows),
                   actual->seconds * 1000.0);

@@ -23,6 +23,15 @@
 // cardinality + cost (filled by the mode-selection pass), and — after an
 // instrumented execution — a pointer to its actual NodeStats, which
 // ToString renders side by side ("est … rows" vs "actual … rows").
+//
+// The rule for actuals: after a successful instrumented execution EVERY
+// node of the executed tree has them, on every route. Stages inside an
+// exchange that ran in parallel report their per-morsel counters summed
+// into one slot (NodeStats::summed_worker_time); an exchange whose region
+// ran serially (its input fell below min_parallel_rows at run time)
+// reports the region's output — the rows leaving its top stage, which is
+// the merged row count on the parallel route. Planner::Execute checks the
+// rule (TPDB_DCHECK) before it mirrors the tree into a trace.
 #ifndef TPDB_API_PHYSICAL_PLAN_H_
 #define TPDB_API_PHYSICAL_PLAN_H_
 
@@ -140,7 +149,8 @@ struct PhysicalNode {
   /// Cost-model estimates (mode-selection pass).
   PhysCost est;
   /// Actual execution counters of this node, when the plan ran with an
-  /// ExecStats registry (null otherwise). Owned by the registry.
+  /// ExecStats registry (null otherwise — and never null on any node of a
+  /// tree that executed successfully with one). Owned by the registry.
   const NodeStats* actual = nullptr;
 
   /// One-line description, e.g. "BatchScan(events) σ[_ts in [512, inf)]".

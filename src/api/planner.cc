@@ -85,43 +85,51 @@ ProbEvalOptions BaseProbOptions(const PlannerOptions& options) {
   return prob;
 }
 
-/// Lowers stages [first, stages.size()) on the row path over `op`,
-/// instrumenting each stage into `stats` when given.
-StatusOr<OperatorPtr> LowerRowTail(OperatorPtr op,
-                                   const std::vector<PhysicalNode*>& stages,
-                                   size_t first, LineageManager* manager,
-                                   ExecStats* stats,
-                                   const ProbEvalOptions& prob_base) {
-  for (size_t i = first; i < stages.size(); ++i) {
-    StatusOr<OperatorPtr> next =
-        LowerPipelineStage(*stages[i], std::move(op), manager, prob_base);
-    if (!next.ok()) return next.status();
-    op = std::move(*next);
-    if (stats != nullptr) {
-      NodeStats* slot = stats->AddNode(stages[i]->Label());
-      stages[i]->actual = slot;
-      op = Instrument(slot, std::move(op));
-    }
-  }
-  return op;
-}
-
 /// The serial tail of a batch chain: materialize directly when every
-/// stage lowered batch, else adapter + instrumented row stages.
+/// stage lowered batch, else adapter + row stages, instrumented into
+/// `slots`.
 StatusOr<Table> FinishBatchTail(vec::BatchOperatorPtr op,
                                 const ChainExec& chain,
                                 LineageManager* manager, VectorStats* vstats,
-                                ExecStats* stats,
+                                const ChainSlots& slots,
                                 const ProbEvalOptions& prob_base) {
   if (chain.batch_prefix == chain.stages.size())
     return vec::MaterializeBatches(op.get(), vstats);
-  OperatorPtr rop =
-      std::make_unique<vec::BatchToRowAdapter>(std::move(op), vstats);
-  StatusOr<OperatorPtr> tail =
-      LowerRowTail(std::move(rop), chain.stages, chain.batch_prefix, manager,
-                   stats, prob_base);
+  StatusOr<OperatorPtr> tail = LowerRowStages(
+      std::make_unique<vec::BatchToRowAdapter>(std::move(op), vstats),
+      chain.stages, chain.batch_prefix, chain.stages.size(), manager, slots,
+      prob_base);
   if (!tail.ok()) return tail.status();
   return Materialize(tail->get());
+}
+
+/// Stages [first, end) of `chain` on the row path over `table` — the
+/// merged output of a parallel region, or a whole flattened source —
+/// instrumented into `stats` when given, as relation `name`.
+StatusOr<TPRelation> FinishRowStages(std::string name, const Table& table,
+                                     const ChainExec& chain, size_t first,
+                                     LineageManager* manager,
+                                     ExecStats* stats,
+                                     const ProbEvalOptions& prob_base) {
+  const size_t end = chain.stages.size();
+  if (first == end)
+    return TPRelation::FromTable(std::move(name), table, manager);
+  StatusOr<OperatorPtr> op = LowerRowStages(
+      std::make_unique<TableScan>(&table), chain.stages, first, end, manager,
+      RegisterChainSlots(chain, first, end, /*batch_end=*/0, stats),
+      prob_base);
+  if (!op.ok()) return op.status();
+  return TPRelation::FromTable(std::move(name), Materialize(op->get()),
+                               manager);
+}
+
+/// The actuals rule of physical_plan.h: every node of a tree that executed
+/// successfully with an ExecStats registry has its NodeStats.
+bool EveryNodeHasActuals(const PhysicalNode& node) {
+  if (node.actual == nullptr) return false;
+  for (const PhysicalNodePtr& child : node.children)
+    if (!EveryNodeHasActuals(*child)) return false;
+  return true;
 }
 
 }  // namespace
@@ -194,6 +202,11 @@ StatusOr<TPRelation> Planner::Execute(const LogicalPlan& plan,
     for (const WorkerStats& w : ctx.CollectWorkerStats())
       stats->AddWorker(w);
     stats->set_physical_plan(physical->ToString());
+    // Every executed node reports its actuals on every route (serial,
+    // parallel, serial fallback of an exchange, top-k) — the rule that
+    // lets the trace below mirror the Explain tree.
+    TPDB_DCHECK(!result.ok() || EveryNodeHasActuals(*physical->root))
+        << stats->physical_plan();
     // Mirror the executed tree into the trace AFTER set_physical_plan:
     // both read the same NodeStats slots, so the span payloads and the
     // rendered actuals agree node-for-node by construction.
@@ -367,6 +380,7 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
             MakeMorsels(table->segments().size(), 1, max_morsels);
         std::vector<StorageStats> counters(morsels.size());
         std::vector<VectorStats> vcounters(morsels.size());
+        MorselStageStats region(stats, lowered);
         const Clock::time_point start = Clock::now();
         StatusOr<Table> merged = ParallelBatchPipeline(
             ctx_, morsels.size(),
@@ -379,7 +393,8 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
             [&](vec::BatchOperatorPtr src)
                 -> StatusOr<vec::BatchOperatorPtr> {
               return LowerBatchStages(std::move(src), chain.stages, lowered,
-                                      manager, nullptr, nullptr, prob_base);
+                                      manager, nullptr, region.Claim(),
+                                      prob_base);
             });
         if (!merged.ok()) return merged.status();
         if (stats != nullptr) {
@@ -394,12 +409,13 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
           scan_stats->open_calls = 1;
           stats->AddStorage(storage);
           stats->AddVector(vstats);
+          region.Report(chain.stages, " (vec)");
           ReportNode(stats, chain.exchange, chain.exchange->Label(),
                      merged->rows.size(), SecondsSince(start));
         }
-        StatusOr<TPRelation> result = FinishRowStagesOverTable(
-            source->rel->name(), std::move(*merged), chain.stages, lowered,
-            manager, prob_base);
+        StatusOr<TPRelation> result =
+            FinishRowStages(source->rel->name(), *merged, chain, lowered,
+                            manager, stats, prob_base);
         if (!result.ok()) return result.status();
         return EvalResult{std::move(*result), nullptr};
       }
@@ -412,12 +428,14 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
           stats != nullptr ? stats->AddNode(source->Label() + " (cold)")
                            : nullptr;
       if (scan_stats != nullptr) source->actual = scan_stats;
+      const ChainSlots slots = RegisterChainSlots(
+          chain, 0, chain.stages.size(), chain.batch_prefix, stats);
       vec::BatchOperatorPtr op = std::make_unique<storage::SegmentBatchScan>(
           table, predicate, &counters, &vstats);
       op = LowerBatchStages(std::move(op), chain.stages, chain.batch_prefix,
-                            manager, &vstats, stats, prob_base);
+                            manager, &vstats, slots, prob_base);
       StatusOr<Table> out = FinishBatchTail(std::move(op), chain, manager,
-                                            &vstats, stats, prob_base);
+                                            &vstats, slots, prob_base);
       if (!out.ok()) return out.status();
       if (stats != nullptr) {
         scan_stats->rows = counters.rows_decoded;
@@ -438,9 +456,12 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
         stats != nullptr ? stats->AddNode(source->Label() + " (cold)")
                          : nullptr;
     if (scan_stats != nullptr) source->actual = scan_stats;
-    StatusOr<OperatorPtr> lowered = LowerRowTail(
+    StatusOr<OperatorPtr> lowered = LowerRowStages(
         std::make_unique<storage::SegmentScan>(table, predicate, &counters),
-        chain.stages, 0, manager, stats, prob_base);
+        chain.stages, 0, chain.stages.size(), manager,
+        RegisterChainSlots(chain, 0, chain.stages.size(), /*batch_end=*/0,
+                           stats),
+        prob_base);
     if (!lowered.ok()) return lowered.status();
     const Table out = Materialize(lowered->get());
     if (stats != nullptr) {
@@ -483,6 +504,7 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
       if (morsels.size() >= 2) {
         const size_t lowered = chain.parallel_prefix;
         std::vector<VectorStats> vcounters(morsels.size());
+        MorselStageStats region(stats, lowered);
         const Clock::time_point start = Clock::now();
         StatusOr<Table> merged = ParallelBatchPipeline(
             ctx_, morsels.size(),
@@ -495,7 +517,8 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
             [&](vec::BatchOperatorPtr src)
                 -> StatusOr<vec::BatchOperatorPtr> {
               return LowerBatchStages(std::move(src), chain.stages, lowered,
-                                      manager, nullptr, nullptr, prob_base);
+                                      manager, nullptr, region.Claim(),
+                                      prob_base);
             });
         if (!merged.ok()) return merged.status();
         if (stats != nullptr) {
@@ -503,12 +526,12 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
           for (const VectorStats& v : vcounters) vstats.Merge(v);
           vstats.rows_emitted += merged->rows.size();
           stats->AddVector(vstats);
+          region.Report(chain.stages, " (vec)");
           ReportNode(stats, chain.exchange, chain.exchange->Label(),
                      merged->rows.size(), SecondsSince(start));
         }
-        StatusOr<TPRelation> result = FinishRowStagesOverTable(
-            name, std::move(*merged), chain.stages, lowered, manager,
-            prob_base);
+        StatusOr<TPRelation> result = FinishRowStages(
+            name, *merged, chain, lowered, manager, stats, prob_base);
         if (!result.ok()) return result.status();
         return EvalResult{std::move(*result), nullptr};
       }
@@ -516,12 +539,14 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
 
     // Serial batch.
     VectorStats vstats;
+    const ChainSlots slots = RegisterChainSlots(
+        chain, 0, chain.stages.size(), chain.batch_prefix, stats);
     vec::BatchOperatorPtr op =
         std::make_unique<vec::TableBatchScan>(table.get(), &vstats);
     op = LowerBatchStages(std::move(op), chain.stages, chain.batch_prefix,
-                          manager, &vstats, stats, prob_base);
+                          manager, &vstats, slots, prob_base);
     StatusOr<Table> out = FinishBatchTail(std::move(op), chain, manager,
-                                          &vstats, stats, prob_base);
+                                          &vstats, slots, prob_base);
     if (!out.ok()) return out.status();
     if (stats != nullptr) stats->AddVector(vstats);
     StatusOr<TPRelation> result = TPRelation::FromTable(name, *out, manager);
@@ -537,40 +562,26 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
   if (chain.exchange != nullptr && ctx_ != nullptr &&
       ctx_->ShouldParallelize(table->rows.size())) {
     const size_t row_local = chain.parallel_prefix;
+    MorselStageStats region(stats, row_local);
     const Clock::time_point start = Clock::now();
     StatusOr<Table> out = ParallelPipeline(
-        ctx_, *table,
-        [&chain, row_local, manager,
-         &prob_base](OperatorPtr source_op) -> StatusOr<OperatorPtr> {
-          OperatorPtr op = std::move(source_op);
-          for (size_t i = 0; i < row_local; ++i) {
-            StatusOr<OperatorPtr> lowered = LowerPipelineStage(
-                *chain.stages[i], std::move(op), manager, prob_base);
-            if (!lowered.ok()) return lowered.status();
-            op = std::move(*lowered);
-          }
-          return op;
+        ctx_, *table, [&](OperatorPtr source_op) -> StatusOr<OperatorPtr> {
+          return LowerRowStages(std::move(source_op), chain.stages, 0,
+                                row_local, manager, region.Claim(),
+                                prob_base);
         });
     if (!out.ok()) return out.status();
     *table = std::move(*out);
     first_serial_stage = row_local;
-    if (stats != nullptr)
+    if (stats != nullptr) {
+      region.Report(chain.stages, "");
       ReportNode(stats, chain.exchange, chain.exchange->Label(),
                  table->rows.size(), SecondsSince(start));
+    }
   }
 
-  StatusOr<TPRelation> rel = [&]() -> StatusOr<TPRelation> {
-    if (first_serial_stage == chain.stages.size()) {
-      // Everything ran in the parallel driver; `table` is the result.
-      return TPRelation::FromTable(name, *table, manager);
-    }
-    StatusOr<OperatorPtr> lowered =
-        LowerRowTail(std::make_unique<TableScan>(table.get()), chain.stages,
-                     first_serial_stage, manager, stats, prob_base);
-    if (!lowered.ok()) return lowered.status();
-    const Table out = Materialize(lowered->get());
-    return TPRelation::FromTable(name, out, manager);
-  }();
+  StatusOr<TPRelation> rel = FinishRowStages(
+      name, *table, chain, first_serial_stage, manager, stats, prob_base);
   if (!rel.ok()) return rel.status();
   return EvalResult{std::move(*rel), nullptr};
 }
@@ -653,6 +664,16 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
   std::vector<Entry> kept;  // heap ordered by `better` (worst on top)
   kept.reserve(k + 1);
 
+  // Every unit runs its own instance of the row-local stages; they all
+  // report into one slot per stage (units run one after another), and an
+  // exchange over those stages reports the rows leaving its region. The
+  // scan's slot is registered first so the listing reads bottom-up.
+  NodeStats* scan_slot =
+      ReportNode(stats, source,
+                 source->Label() + (cold != nullptr ? " (cold)" : ""), 0, 0.0);
+  const ChainSlots slots =
+      RegisterChainSlots(chain, 0, sort_idx, /*batch_end=*/0, stats);
+
   StorageStats counters;
   uint64_t rows_evaluated = 0;
   size_t units_visited = 0;
@@ -670,12 +691,10 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
                   cold, source->scan_predicate, unit.segment,
                   unit.segment + 1, &counters))
             : OperatorPtr(std::make_unique<TableScan>(warm.get()));
-    for (size_t i = 0; i < sort_idx; ++i) {
-      StatusOr<OperatorPtr> next = LowerPipelineStage(
-          *chain.stages[i], std::move(op), manager, prob_base);
-      if (!next.ok()) return next.status();
-      op = std::move(*next);
-    }
+    StatusOr<OperatorPtr> lowered = LowerRowStages(
+        std::move(op), chain.stages, 0, sort_idx, manager, slots, prob_base);
+    if (!lowered.ok()) return lowered.status();
+    op = std::move(*lowered);
     op->Open();
     Row row;
     size_t local = 0;
@@ -707,12 +726,9 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
 
   const double seconds = SecondsSince(start);
   if (stats != nullptr) {
-    NodeStats* scan_slot = ReportNode(
-        stats, source,
-        source->Label() + (cold != nullptr ? " (cold)" : ""),
-        cold != nullptr ? counters.rows_decoded : warm->rows.size(),
-        counters.decode_seconds);
-    scan_slot->open_calls = 1;
+    scan_slot->rows =
+        cold != nullptr ? counters.rows_decoded : warm->rows.size();
+    scan_slot->seconds = counters.decode_seconds;
     if (cold != nullptr) stats->AddStorage(counters);
     ReportNode(stats, sort, sort->Label() + " (top-k)", out.rows.size(),
                seconds);
@@ -905,6 +921,7 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecBatchAggregate(
     if (morsels.size() >= 2) {
       std::vector<StorageStats> pcounters(morsels.size());
       std::vector<VectorStats> pvcounters(morsels.size());
+      MorselStageStats region(stats, chain.stages.size());
       const Clock::time_point start = Clock::now();
       StatusOr<Table> out = ParallelBatchPipeline(
           ctx_, morsels.size(),
@@ -922,7 +939,7 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecBatchAggregate(
           [&](vec::BatchOperatorPtr src) -> StatusOr<vec::BatchOperatorPtr> {
             return LowerBatchStages(std::move(src), chain.stages,
                                     chain.stages.size(), manager, nullptr,
-                                    nullptr, prob_base);
+                                    region.Claim(), prob_base);
           });
       if (!out.ok()) return out.status();
       if (stats != nullptr) {
@@ -939,6 +956,7 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecBatchAggregate(
         } else {
           ReportNode(stats, source, source->Label(), rel->size(), 0.0);
         }
+        region.Report(chain.stages, " (vec)");
         ReportNode(stats, chain.exchange, chain.exchange->Label(),
                    out->rows.size(), SecondsSince(start));
       }
@@ -953,13 +971,17 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecBatchAggregate(
     if (scan_stats != nullptr) source->actual = scan_stats;
     op = std::make_unique<storage::SegmentBatchScan>(cold, predicate,
                                                      &counters, &vstats);
-    op = LowerBatchStages(std::move(op), chain.stages, chain.stages.size(),
-                          manager, &vstats, stats, prob_base);
   } else if (op == nullptr) {
     ReportNode(stats, source, source->Label(), rel->size(), 0.0);
     op = std::make_unique<vec::TableBatchScan>(warm.get(), &vstats);
-    op = LowerBatchStages(std::move(op), chain.stages, chain.stages.size(),
-                          manager, &vstats, stats, prob_base);
+  }
+  if (merged == nullptr) {
+    // Serial: the whole chain (and any exchange over it) is one instance.
+    op = LowerBatchStages(
+        std::move(op), chain.stages, chain.stages.size(), manager, &vstats,
+        RegisterChainSlots(chain, 0, chain.stages.size(),
+                           chain.stages.size(), stats),
+        prob_base);
   }
 
   op = std::make_unique<vec::BatchHashAggregate>(

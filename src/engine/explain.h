@@ -25,8 +25,14 @@ struct NodeStats {
   std::string label;
   uint64_t rows = 0;        ///< rows produced (true Next() calls)
   uint64_t open_calls = 0;
-  double seconds = 0.0;     ///< wall time spent inside this node's Next()
+  double seconds = 0.0;     ///< time spent inside this node's Next()
                             ///< (inclusive of children)
+  /// How `seconds` adds up. false: the wall time of the node's one serial
+  /// instance. true: the node ran once per morsel inside a parallel region
+  /// and `seconds` (like `rows` and `open_calls`, one per instance) is
+  /// summed over those instances — worker time, which can exceed the
+  /// query's wall time.
+  bool summed_worker_time = false;
 };
 
 /// Per-worker aggregates of the parallel runtime (exec/): how many morsel

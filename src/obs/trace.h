@@ -13,6 +13,12 @@
 // TraceContexts are single-threaded by design: one context belongs to one
 // query on one session thread (parallel morsels aggregate into NodeStats,
 // which the plan-node spans read after the fact).
+//
+// The node-for-node agreement rests on the planner's actuals rule
+// (api/physical_plan.h): every node of a successfully executed plan has
+// its NodeStats — stages inside a parallel exchange as one slot summed over
+// their morsels, an exchange that ran serially as its region's output — so
+// each plan span has a rendered "(actual …)" line to match.
 #ifndef TPDB_OBS_TRACE_H_
 #define TPDB_OBS_TRACE_H_
 
@@ -80,9 +86,11 @@ class TraceContext {
 
 /// Mirrors a physical tree into plan-node spans under `parent`: one span
 /// per node, pre-order, named by the node's op and carrying its NodeStats
-/// actual rows/time as the payload. `base_start_us` anchors the synthetic
-/// span times (NodeStats records durations, not start times; children
-/// share their parent's start so the tree nests in the tracing UI).
+/// actual rows/time as the payload (every node of an executed tree has
+/// them; Planner::Execute checks this before calling here).
+/// `base_start_us` anchors the synthetic span times (NodeStats records
+/// durations, not start times; children share their parent's start so the
+/// tree nests in the tracing UI).
 void AddPlanSpans(const PhysicalNode& node, uint64_t parent,
                   uint64_t base_start_us, TraceContext* trace);
 

@@ -20,8 +20,12 @@
 namespace tpdb {
 namespace {
 
+/// A scratch path private to the running test: ctest runs every test in
+/// its own process, in parallel, so fixtures must not share files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 /// Position of `needle` in `text`; -1 when absent.

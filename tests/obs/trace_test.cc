@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "exec/session.h"
 #include "obs/metrics.h"
 #include "obs/slow_query.h"
+#include "storage/snapshot.h"
 
 namespace tpdb::obs {
 namespace {
@@ -125,6 +128,112 @@ TEST_F(TraceTest, PlanSpansMatchExplainTreeNodeForNode) {
       if (span.name == "execute") execute_id = span.id;
     ASSERT_NE(execute_id, 0u);
     EXPECT_EQ(plan_spans.front()->parent, execute_id);
+  }
+}
+
+/// Registers two uniform relations "r" and "s" of `num_tuples` each — the
+/// TraceTest fixture's shape, with the history stretched in proportion so
+/// the tuple density stays the same.
+void RegisterUniformPair(TPDatabase* db, int64_t num_tuples) {
+  Random rng(123);
+  UniformWorkloadOptions options;
+  options.num_tuples = num_tuples;
+  options.num_facts = 60;
+  options.history_length = 1500 * std::max<int64_t>(1, num_tuples / 400);
+  options.gap_probability = 0.3;
+  for (const char* name : {"r", "s"}) {
+    StatusOr<TPRelation> rel =
+        MakeUniformWorkload(db->manager(), name, options, &rng);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    ASSERT_TRUE(db->Register(std::move(*rel)).ok());
+  }
+}
+
+/// Traces `sql` and checks the node-for-node invariant: every rendered
+/// plan line carries actuals, and the plan spans match those actuals in
+/// count and, element-wise, in rows. Returns the physical-plan rendering.
+std::string ExpectSpansMatchActuals(const Session& session,
+                                    const std::string& sql,
+                                    const std::string& where) {
+  StatusOr<Session::TraceResult> traced = session.Trace(sql);
+  EXPECT_TRUE(traced.ok()) << where << sql << ": "
+                           << traced.status().ToString();
+  if (!traced.ok()) return "";
+  const std::string& plan = traced->physical_plan;
+  const std::vector<uint64_t> expected = ActualRowsInPlanText(plan);
+  EXPECT_EQ(static_cast<size_t>(std::count(plan.begin(), plan.end(), '\n')),
+            expected.size())
+      << where << sql << ": a plan node without actuals\n" << plan;
+  const std::vector<const TraceSpan*> spans = traced->trace.PlanSpans();
+  EXPECT_EQ(spans.size(), expected.size()) << where << sql << "\n" << plan;
+  for (size_t i = 0; i < std::min(spans.size(), expected.size()); ++i)
+    EXPECT_EQ(spans[i]->rows, expected[i]) << where << sql << " node " << i;
+  return plan;
+}
+
+// The invariant above on every execution route: the 400-tuple fixture (an
+// exchange the mode pass plans from estimates, whose region then runs
+// serially because the actual input is below min_parallel_rows), inputs
+// large enough for the parallel drivers (warm batch, warm row, cold batch,
+// the batch-aggregate prefix), the top-k path with an exchange over its
+// stages, and the serial planner.
+TEST_F(TraceTest, EveryNodeReportsActualsOnEveryRoute) {
+  constexpr int64_t kLargeTuples = 4000;
+  ASSERT_GE(static_cast<size_t>(kLargeTuples),
+            SessionOptions{}.min_parallel_rows);
+  TPDatabase large;
+  RegisterUniformPair(&large, kLargeTuples);
+  ASSERT_FALSE(HasFatalFailure());
+  // The same relations served from columnar segments (several per
+  // relation, so the cold morsel driver has work to split).
+  const std::string path =
+      ::testing::TempDir() + "/trace_test_every_node_actuals.tpdb";
+  storage::SnapshotOptions snapshot;
+  snapshot.segment_rows = 512;
+  ASSERT_TRUE(large.SaveSnapshot(path, snapshot).ok());
+  TPDatabase cold;
+  const Status loaded = cold.LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+
+  const std::vector<std::string> queries = {
+      "SELECT * FROM r WHERE key < 40",
+      "SELECT * FROM r INNER JOIN s ON key WHERE key < 60 ORDER BY key",
+      "SELECT key, COUNT(*) AS n FROM r WHERE key < 40 GROUP BY key",
+      "SELECT * FROM r WHERE key < 40 ORDER BY _prob DESC LIMIT 5",
+  };
+  struct Fixture {
+    const char* name;
+    TPDatabase* db;
+    bool parallel_route;  ///< inputs reach min_parallel_rows
+  };
+  for (const Fixture& fixture :
+       {Fixture{"400 tuples", &db_, false},
+        Fixture{"4000 tuples", &large, true},
+        Fixture{"4000 tuples cold", &cold, true}}) {
+    for (const int parallelism : {4, 1}) {
+      for (const bool row_only : {false, true}) {
+        SessionOptions options;
+        options.parallelism = parallelism;
+        if (row_only) options.vectorize = false;
+        const Session session(fixture.db, options);
+        const std::string where =
+            std::string(fixture.name) + ", parallelism " +
+            std::to_string(parallelism) + (row_only ? ", row" : "") + ": ";
+        bool saw_exchange = false;
+        bool saw_summed = false;
+        for (const std::string& sql : queries) {
+          const std::string plan = ExpectSpansMatchActuals(session, sql, where);
+          saw_exchange |= plan.find("Exchange[") != std::string::npos;
+          saw_summed |= plan.find("summed over") != std::string::npos;
+        }
+        // The runs exercise what they claim to: exchanges wherever there
+        // are workers, the morsel drivers wherever the inputs are large.
+        EXPECT_EQ(saw_exchange, parallelism > 1) << where;
+        EXPECT_EQ(saw_summed, parallelism > 1 && fixture.parallel_route)
+            << where;
+      }
+    }
   }
 }
 

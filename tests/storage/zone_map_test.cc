@@ -19,8 +19,12 @@ namespace {
 constexpr int64_t kTuples = 320;
 constexpr size_t kSegmentRows = 64;  // 5 segments of 64 rows
 
+/// A scratch path private to the running test: ctest runs every test in
+/// its own process, in parallel, so fixtures must not share files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 /// 320 tuples: tuple i has key i%4, val i (double), interval [2i, 2i+1)
